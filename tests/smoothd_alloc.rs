@@ -11,10 +11,12 @@
 //!
 //! The test drives `Shard` directly on the test thread: the daemon's
 //! workers run exactly this loop, and a single thread keeps the global
-//! counter attributable.
+//! counter attributable. The harness runs tests on parallel threads,
+//! so each test holds [`COUNTER`] for its whole run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rts_smoothd::{AdmitRequest, Shard, WirePolicy};
 
@@ -48,6 +50,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests: they all read the one global counter. A
+/// failed test poisons it, but the counter stays usable.
+static COUNTER: Mutex<()> = Mutex::new(());
+
 fn snapshot() -> (u64, u64) {
     (
         ALLOCS.load(Ordering::SeqCst),
@@ -57,6 +63,7 @@ fn snapshot() -> (u64, u64) {
 
 #[test]
 fn steady_state_shard_loop_is_allocation_free() {
+    let _counter = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let sessions = 128u64;
     let rate = 4u64;
     let mut shard = Shard::new(0, rate * sessions, (1, 1));
@@ -114,6 +121,7 @@ fn steady_state_shard_loop_is_allocation_free() {
 
 #[test]
 fn session_churn_returns_memory_to_the_allocator() {
+    let _counter = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     // Not allocation-free (admission and eviction may allocate), but
     // net heap growth across full churn cycles must stay bounded: the
     // daemon cannot leak a session's worth of state per admit/evict.
