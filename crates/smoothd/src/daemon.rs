@@ -4,7 +4,11 @@
 //! worker thread, stepping [`Shard::process_slot`] in a tight loop and
 //! draining a bounded command queue between slots. The control plane
 //! (admissions, data injection, drain/evict, stats) talks to workers
-//! only through those queues, so the hot loop never takes a lock.
+//! only through those queues, so the hot loop never takes a lock. A
+//! paced worker waits out its slot parked; the control plane unparks it
+//! after queueing a command whose caller waits on the result (admit,
+//! snapshot, restore, stop), which then applies at once instead of at
+//! the next slot start.
 //!
 //! Admission control happens twice, deliberately:
 //!
@@ -24,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -221,6 +225,14 @@ struct ShardHandle {
     join: JoinHandle<Shard>,
 }
 
+impl ShardHandle {
+    /// Unparks the worker if it is waiting out a slot, so a command
+    /// just queued applies now instead of at the next slot start.
+    fn wake(&self) {
+        self.join.thread().unpark();
+    }
+}
+
 /// Outcome of [`Daemon::admit_batch`]: `admitted` sessions with
 /// consecutive ids starting at `first`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,44 +343,24 @@ fn worker(
     let mut was_idle = true;
     loop {
         // Drain the command queue without blocking the slot cadence.
-        let drain_started = Instant::now();
-        let mut applied = false;
-        loop {
-            match rx.try_recv() {
-                Ok(cmd) => {
-                    applied = true;
-                    apply(&mut shard, cmd, &mut ctx);
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if ctx.stop.is_none() {
-                        ctx.stop = Some(false);
-                    }
-                    break;
-                }
-            }
-        }
-        if applied {
-            ctx.telemetry
-                .admit
-                .record(drain_started.elapsed().as_nanos() as u64);
-        }
+        drain_queue(&rx, &mut shard, &mut ctx);
         if shard.sessions() == 0 {
             if ctx.stop.is_some() {
                 break;
             }
             was_idle = true;
+            // Publish the empty shard and hand over what its last
+            // evictions retired before blocking, or both would wait
+            // for the next busy slot.
+            shared.sessions.store(0, Ordering::Relaxed);
             ctx.telemetry.sessions.set(0);
-            // Idle: wait for work instead of spinning.
-            match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(cmd) => {
-                    apply(&mut shard, cmd, &mut ctx);
-                    if ctx.stop.is_some() && shard.sessions() == 0 {
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+            if shard.has_retirements() {
+                flush_retirements(&mut shard, &ctx, &retired_sink, &mut retire_buf);
+            }
+            // Idle: block until a command arrives.
+            match rx.recv() {
+                Ok(cmd) => apply(&mut shard, cmd, &mut ctx),
+                Err(_) => break,
             }
             continue;
         }
@@ -403,15 +395,7 @@ fn worker(
         shared.slot_ns.store(nanos, Ordering::Relaxed);
         if shard.has_retirements() {
             let retire_started = Instant::now();
-            shard.take_retirements(&mut retire_buf);
-            for r in &retire_buf {
-                ctx.committed.fetch_sub(r.rate, Ordering::Relaxed);
-            }
-            retired_sink
-                .lock()
-                .expect("retirement sink poisoned")
-                .append(&mut retire_buf);
-            ctx.idle.bump();
+            flush_retirements(&mut shard, &ctx, &retired_sink, &mut retire_buf);
             ctx.telemetry
                 .retire
                 .record(retire_started.elapsed().as_nanos() as u64);
@@ -421,7 +405,20 @@ fn worker(
                 ctx.telemetry.slot_overruns.inc();
             }
         }
-        let outcome = clock.pace();
+        // Wait out the slot parked, not asleep: the control plane
+        // unparks the worker after queueing a command its caller waits
+        // on (admit, snapshot, restore, stop), and that command applies
+        // now. Commands that merely feed or retire sessions stay queued
+        // for the next slot start.
+        let outcome = clock.pace_with(|_, left| {
+            std::thread::park_timeout(left);
+            if drain_queue(&rx, &mut shard, &mut ctx) {
+                let live = shard.sessions() as u64;
+                shared.sessions.store(live, Ordering::Relaxed);
+                ctx.telemetry.sessions.set(live);
+            }
+            ctx.stop.is_none() || shard.sessions() > 0
+        });
         if outcome.missed {
             ctx.telemetry.deadline_misses.inc();
             ctx.telemetry
@@ -431,14 +428,7 @@ fn worker(
     }
     // Flush anything the final slots produced.
     if shard.has_retirements() {
-        shard.take_retirements(&mut retire_buf);
-        for r in &retire_buf {
-            ctx.committed.fetch_sub(r.rate, Ordering::Relaxed);
-        }
-        retired_sink
-            .lock()
-            .expect("retirement sink poisoned")
-            .append(&mut retire_buf);
+        flush_retirements(&mut shard, &ctx, &retired_sink, &mut retire_buf);
     }
     shared
         .sessions
@@ -457,6 +447,52 @@ fn worker(
         .add(shard.stats().sent_bytes - prev_sent);
     ctx.idle.bump();
     shard
+}
+
+/// Applies every queued command without blocking and times the batch
+/// as the admit stage. Returns whether anything was applied; a hung-up
+/// control plane counts as an evicting stop.
+fn drain_queue(rx: &Receiver<Command>, shard: &mut Shard, ctx: &mut WorkerCtx) -> bool {
+    let started = Instant::now();
+    let mut applied = false;
+    loop {
+        match rx.try_recv() {
+            Ok(cmd) => {
+                applied = true;
+                apply(shard, cmd, ctx);
+            }
+            Err(TryRecvError::Empty) => break,
+            Err(TryRecvError::Disconnected) => {
+                if ctx.stop.is_none() {
+                    ctx.stop = Some(false);
+                }
+                break;
+            }
+        }
+    }
+    if applied {
+        ctx.telemetry
+            .admit
+            .record(started.elapsed().as_nanos() as u64);
+    }
+    applied
+}
+
+/// Hands the shard's retirements to the control plane: releases their
+/// rate on the committed mirror, moves them into the shared sink, and
+/// wakes [`Daemon::wait_idle`].
+fn flush_retirements(
+    shard: &mut Shard,
+    ctx: &WorkerCtx,
+    sink: &Mutex<Vec<Retirement>>,
+    buf: &mut Vec<Retirement>,
+) {
+    shard.take_retirements(buf);
+    for r in buf.iter() {
+        ctx.committed.fetch_sub(r.rate, Ordering::Relaxed);
+    }
+    sink.lock().expect("retirement sink poisoned").append(buf);
+    ctx.idle.bump();
 }
 
 /// Applies one command; records a stop request in `ctx.stop`.
@@ -787,20 +823,16 @@ impl Daemon {
             source,
         };
         let h = &self.handles[shard as usize];
-        if blocking {
-            if h.tx.send(cmd).is_err() {
-                h.committed.fetch_sub(params.rate, Ordering::Relaxed);
-                return Err(RejectReason::Backpressure);
-            }
+        let sent = if blocking {
+            h.tx.send(cmd).is_ok()
         } else {
-            match h.tx.try_send(cmd) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    h.committed.fetch_sub(params.rate, Ordering::Relaxed);
-                    return Err(RejectReason::Backpressure);
-                }
-            }
+            h.tx.try_send(cmd).is_ok()
+        };
+        if !sent {
+            h.committed.fetch_sub(params.rate, Ordering::Relaxed);
+            return Err(RejectReason::Backpressure);
         }
+        h.wake();
         self.next_id += 1;
         self.directory.insert(id, shard);
         let time = self.handles[shard as usize]
@@ -864,12 +896,11 @@ impl Daemon {
             req: *req,
             source: None,
         };
-        if self.handles[shard as usize].tx.send(cmd).is_err() {
-            self.handles[shard as usize]
-                .committed
-                .fetch_sub(params.rate, Ordering::Relaxed);
+        if h.tx.send(cmd).is_err() {
+            h.committed.fetch_sub(params.rate, Ordering::Relaxed);
             return Err(RejectReason::Backpressure);
         }
+        h.wake();
         self.next_id += 1;
         self.directory.insert(id, shard);
         Ok(id)
@@ -921,6 +952,7 @@ impl Daemon {
                 reject = RejectReason::Backpressure;
                 break;
             }
+            h.wake();
             let time = h.shared.slots.load(Ordering::Relaxed);
             for k in 0..chunk {
                 self.directory.insert(self.next_id + k, shard);
@@ -1175,6 +1207,7 @@ impl Daemon {
                 })
                 .is_ok()
             {
+                h.wake();
                 expected += 1;
             }
         }
@@ -1246,6 +1279,9 @@ impl Daemon {
             .expect("shard worker hung up during restore");
             self.directory.insert(id, shard);
             self.next_id = self.next_id.max(id + 1);
+        }
+        for h in &self.handles {
+            h.wake();
         }
         self.registry.restored_sessions.add(count);
         Ok(count)
@@ -1364,6 +1400,7 @@ impl Daemon {
         for h in &self.handles {
             // Blocking send: Stop must arrive even on a full queue.
             let _ = h.tx.send(Command::Stop { drain });
+            h.wake();
         }
         self.harvest_migrations();
         let mut shards = Vec::with_capacity(self.handles.len());

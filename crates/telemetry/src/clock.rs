@@ -13,6 +13,7 @@
 //! the measured lateness instead of letting errors compound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A time source the slot clock paces against.
@@ -58,8 +59,20 @@ impl Clock for MonotonicClock {
     }
 }
 
+/// A shared clock paces like the clock it shares, so a test can keep a
+/// handle on the [`ManualClock`] it hands to a [`SlotClock`].
+impl<C: Clock + ?Sized> Clock for Arc<C> {
+    fn now(&self) -> Duration {
+        (**self).now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        (**self).sleep(d);
+    }
+}
+
 /// A deterministic clock for tests: time only moves when the test (or
-/// a `sleep`) advances it. Shared-state via atomics so a clone handed
+/// a `sleep`) advances it. Shared-state via atomics so an `Arc` handed
 /// to the code under test stays in step with the test's copy.
 #[derive(Debug, Default)]
 pub struct ManualClock {
@@ -125,10 +138,11 @@ pub struct SlotOutcome {
 ///
 /// Protocol: call [`arm`](SlotClock::arm) when the shard transitions
 /// idle → busy (so deadlines are anchored to when work actually
-/// resumes, not to a stale epoch), then [`pace`](SlotClock::pace) once
-/// after each slot's work. On a miss the clock re-anchors
-/// (`next = now + period`) rather than trying to "catch up" with
-/// back-to-back slots — slot count is not a contract here, period is.
+/// resumes, not to a stale epoch), then [`pace`](SlotClock::pace) or
+/// [`pace_with`](SlotClock::pace_with) once after each slot's work. On
+/// a miss the clock re-anchors (`next = now + period`) rather than
+/// trying to "catch up" with back-to-back slots — slot count is not a
+/// contract here, period is.
 #[derive(Debug)]
 pub struct SlotClock<C: Clock> {
     clock: C,
@@ -162,29 +176,46 @@ impl<C: Clock> SlotClock<C> {
         }
     }
 
-    /// Pace after one slot's work. Sleeps until the deadline (or not at
+    /// Pace after one slot's work: sleeps until the deadline (or not at
     /// all) and reports whether the deadline was missed.
     pub fn pace(&mut self) -> SlotOutcome {
-        match self.pacing {
-            SlotPacing::Free => SlotOutcome::default(),
-            SlotPacing::Sleep(interval) => {
-                self.clock.sleep(interval);
-                SlotOutcome::default()
-            }
+        self.pace_with(|clock, d| {
+            clock.sleep(d);
+            true
+        })
+    }
+
+    /// [`pace`](SlotClock::pace) with a caller-supplied wait:
+    /// `wait(clock, left)` blocks for at most `left`. It may return
+    /// early (a worker woken to apply a command); the clock then calls
+    /// it again with whatever is left, so early wakes move neither the
+    /// deadline nor the miss accounting — the miss is decided once,
+    /// before the first wait. A wait that returns `false` ends the slot
+    /// at once (the worker is stopping); the slot still counts as on
+    /// time.
+    pub fn pace_with(&mut self, mut wait: impl FnMut(&C, Duration) -> bool) -> SlotOutcome {
+        let until = match self.pacing {
+            SlotPacing::Free => return SlotOutcome::default(),
+            SlotPacing::Sleep(interval) => self.clock.now() + interval,
             SlotPacing::Deadline(period) => {
                 let now = self.clock.now();
-                if now <= self.next {
-                    self.clock.sleep(self.next - now);
-                    self.next += period;
-                    SlotOutcome::default()
-                } else {
+                if now > self.next {
                     let lateness = now - self.next;
                     self.next = now + period;
-                    SlotOutcome {
+                    return SlotOutcome {
                         missed: true,
                         lateness,
-                    }
+                    };
                 }
+                let until = self.next;
+                self.next += period;
+                until
+            }
+        };
+        loop {
+            let now = self.clock.now();
+            if now >= until || !wait(&self.clock, until - now) {
+                return SlotOutcome::default();
             }
         }
     }
@@ -193,27 +224,13 @@ impl<C: Clock> SlotClock<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    /// A `Clock` view onto a shared `ManualClock`.
-    #[derive(Clone)]
-    struct Shared(Arc<ManualClock>);
-
-    impl Clock for Shared {
-        fn now(&self) -> Duration {
-            self.0.now()
-        }
-        fn sleep(&self, d: Duration) {
-            self.0.sleep(d);
-        }
-    }
 
     const MS: Duration = Duration::from_millis(1);
 
     #[test]
     fn legacy_sleep_drifts_by_work_time() {
         let clock = Arc::new(ManualClock::new());
-        let mut sc = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Sleep(10 * MS));
+        let mut sc = SlotClock::new(Arc::clone(&clock), SlotPacing::Sleep(10 * MS));
         let mut periods = Vec::new();
         for _ in 0..5 {
             let start = clock.now();
@@ -228,7 +245,7 @@ mod tests {
     #[test]
     fn deadline_pacing_holds_the_period() {
         let clock = Arc::new(ManualClock::new());
-        let mut sc = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Deadline(10 * MS));
+        let mut sc = SlotClock::new(Arc::clone(&clock), SlotPacing::Deadline(10 * MS));
         for work in [0u32, 3, 7, 1, 9] {
             let start = clock.now();
             clock.advance(work * MS);
@@ -241,7 +258,7 @@ mod tests {
     #[test]
     fn overrun_records_miss_and_reanchors() {
         let clock = Arc::new(ManualClock::new());
-        let mut sc = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Deadline(10 * MS));
+        let mut sc = SlotClock::new(Arc::clone(&clock), SlotPacing::Deadline(10 * MS));
         clock.advance(25 * MS); // 15ms past the 10ms deadline
         let out = sc.pace();
         assert!(out.missed);
@@ -256,7 +273,7 @@ mod tests {
     #[test]
     fn arm_forgives_idle_time() {
         let clock = Arc::new(ManualClock::new());
-        let mut sc = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Deadline(10 * MS));
+        let mut sc = SlotClock::new(Arc::clone(&clock), SlotPacing::Deadline(10 * MS));
         clock.advance(500 * MS); // parked idle, no work
         sc.arm();
         clock.advance(2 * MS);
@@ -267,7 +284,7 @@ mod tests {
     #[test]
     fn free_and_sleep_never_miss() {
         let clock = Arc::new(ManualClock::new());
-        let mut free = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Free);
+        let mut free = SlotClock::new(Arc::clone(&clock), SlotPacing::Free);
         clock.advance(1000 * MS);
         assert_eq!(free.pace(), SlotOutcome::default());
         assert_eq!(SlotPacing::Free.period(), None);

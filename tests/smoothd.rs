@@ -522,6 +522,108 @@ fn a_client_that_never_pauses_does_not_shut_out_its_worker() {
     daemon.shutdown(false);
 }
 
+/// A one-shard daemon on 250 ms deadline slots whose shard already
+/// holds one unbounded session, so its worker is busy and spends nearly
+/// every slot waiting for the next deadline.
+fn busy_slow_paced_daemon() -> Daemon {
+    let mut daemon = Daemon::start(DaemonConfig {
+        shards: 1,
+        shard_link_rate: 1 << 16,
+        pacing: SlotPacing::Deadline(Duration::from_millis(250)),
+        record_events: false,
+        ..DaemonConfig::default()
+    });
+    daemon
+        .admit(&cbr_request(4, 0))
+        .expect("admit the resident session");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.live_sessions() < 1 {
+        assert!(Instant::now() < deadline, "the first session never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    daemon
+}
+
+#[test]
+fn a_busy_shard_applies_an_admission_before_its_next_slot() {
+    // Admission is a control command, not an arrival: the worker must
+    // apply it while it waits out the slot instead of at the next slot
+    // start. A worker that sleeps the slot out makes each batch wait
+    // up to 250 ms, so all five trials fit 60 ms by luck with
+    // probability below 0.1%.
+    let mut daemon = busy_slow_paced_daemon();
+    for trial in 0..5 {
+        let before = daemon.live_sessions();
+        let started = Instant::now();
+        let batch = daemon
+            .admit_batch(&cbr_request(4, 0), 64)
+            .expect("admit batch");
+        assert_eq!(batch.admitted, 64);
+        while daemon.live_sessions() < before + 64 {
+            assert!(
+                started.elapsed() < Duration::from_millis(60),
+                "trial {trial}: the batch was not resident after {:?}",
+                started.elapsed()
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+    daemon.shutdown(false);
+}
+
+#[test]
+fn a_snapshot_of_a_busy_shard_does_not_wait_for_its_next_slot() {
+    let mut daemon = busy_slow_paced_daemon();
+    let mut resident = 1;
+    for trial in 0..3 {
+        // Queued right before the checkpoint: the image must hold it.
+        daemon
+            .admit_batch(&cbr_request(4, 0), 64)
+            .expect("admit batch");
+        resident += 64;
+        let started = Instant::now();
+        let (sessions, bytes) = daemon.snapshot();
+        let took = started.elapsed();
+        assert_eq!(sessions, resident, "trial {trial}");
+        let image = read_snapshot(&bytes).expect("the image decodes");
+        assert_eq!(image.len() as u64, resident, "trial {trial}");
+        assert!(
+            took < Duration::from_millis(60),
+            "trial {trial}: snapshot took {took:?}"
+        );
+    }
+    daemon.shutdown(false);
+}
+
+#[test]
+fn evicting_the_last_session_retires_it_before_the_shard_idles() {
+    // The eviction empties the shard at a slot start, so no slot runs
+    // after it; the worker must still publish the empty shard and hand
+    // over the retirement before it blocks waiting for work.
+    let mut daemon = Daemon::start(DaemonConfig {
+        shards: 1,
+        shard_link_rate: 1 << 10,
+        pacing: SlotPacing::Deadline(Duration::from_millis(1)),
+        record_events: false,
+        ..DaemonConfig::default()
+    });
+    let (id, _) = daemon.admit(&cbr_request(4, 0)).expect("admit");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.live_sessions() < 1 {
+        assert!(Instant::now() < deadline, "the session never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    daemon.evict(id).expect("evict");
+    assert!(
+        daemon.wait_idle(Duration::from_secs(2)),
+        "the evicted session never retired (live {})",
+        daemon.live_sessions()
+    );
+    assert_eq!(daemon.stats().retired, 1);
+    let report = daemon.shutdown(false);
+    assert!(report.totals.conserved(), "ledger: {:?}", report.totals);
+}
+
 #[test]
 fn full_command_queues_shed_with_typed_backpressure() {
     // One slow shard: a long slot interval keeps the worker asleep

@@ -203,3 +203,37 @@ fn stats_frame_and_exposition_report_identical_counters() {
     let report = daemon.shutdown(true);
     assert!(report.totals.conserved(), "ledger: {:?}", report.totals);
 }
+
+#[test]
+fn early_wakes_end_slots_on_the_same_deadlines_as_sleeping() {
+    // A shard waits out its slot parked and is woken early whenever a
+    // control command arrives. Those wakes must be invisible to the
+    // cadence: the same deadlines as sleeping straight through, no
+    // miss, and a realized period of exactly `d`.
+    use rts_telemetry::{Clock, ManualClock, SlotClock, SlotOutcome};
+    const D: Duration = Duration::from_millis(10);
+    let slept = Arc::new(ManualClock::new());
+    let woken = Arc::new(ManualClock::new());
+    let mut by_sleep = SlotClock::new(Arc::clone(&slept), SlotPacing::Deadline(D));
+    let mut by_wake = SlotClock::new(Arc::clone(&woken), SlotPacing::Deadline(D));
+    for slot in 0..100u64 {
+        let start = woken.now();
+        let work = Duration::from_micros(slot * 373 % 9_000);
+        slept.advance(work);
+        woken.advance(work);
+        assert_eq!(by_sleep.pace(), SlotOutcome::default(), "slot {slot}");
+        let mut wakes = 0;
+        let outcome = by_wake.pace_with(|clock, left| {
+            // The first three waits end halfway (a command arrived);
+            // the last one runs to the deadline.
+            wakes += 1;
+            clock.advance(if wakes <= 3 { left / 2 } else { left });
+            true
+        });
+        assert_eq!(outcome, SlotOutcome::default(), "slot {slot}");
+        assert_eq!(wakes, 4, "slot {slot}");
+        assert_eq!(woken.now(), slept.now(), "slot {slot}");
+        assert_eq!(woken.now() - start, D, "slot {slot}");
+    }
+    assert_eq!(woken.now(), 100 * D);
+}
